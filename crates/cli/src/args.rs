@@ -6,6 +6,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::ops::RangeBounds;
 
 /// A parse or validation failure, with a user-facing message.
 #[derive(Debug, PartialEq, Eq)]
@@ -90,6 +91,23 @@ impl Args {
             }
         }
         Ok(())
+    }
+}
+
+/// Passes `value` through if `range` contains it; otherwise errors with a
+/// message naming the option, the value and the valid range (`valid`).
+pub fn in_range<T: PartialOrd + fmt::Display>(
+    key: &str,
+    value: T,
+    range: impl RangeBounds<T>,
+    valid: &str,
+) -> Result<T, ArgError> {
+    if range.contains(&value) {
+        Ok(value)
+    } else {
+        Err(ArgError(format!(
+            "--{key} {value} is out of range (valid: {valid})"
+        )))
     }
 }
 

@@ -1,6 +1,6 @@
 //! The `gen`, `mine`, `parallel`, and `model` subcommands.
 
-use crate::args::{ArgError, Args};
+use crate::args::{in_range, ArgError, Args};
 use armine_core::apriori::{Apriori, AprioriParams, MinSupport};
 use armine_core::counter::CounterBackend;
 use armine_core::io::{read_transactions_auto, write_transactions_binary, write_transactions_file};
@@ -79,8 +79,18 @@ fn cmd_gen(args: &Args, out: Out) -> Result<(), Box<dyn std::error::Error>> {
     let path: String = args.required("out")?;
     let params = QuestParams::paper_t15_i6()
         .num_transactions(args.required("transactions")?)
-        .num_items(args.or_default("items", 1000)?)
-        .num_patterns(args.or_default("patterns", 2000)?)
+        .num_items(in_range(
+            "items",
+            args.or_default("items", 1000)?,
+            1..,
+            "at least 1",
+        )?)
+        .num_patterns(in_range(
+            "patterns",
+            args.or_default("patterns", 2000)?,
+            1..,
+            "at least 1",
+        )?)
         .avg_transaction_len(args.or_default("avg-len", 15.0)?)
         .avg_pattern_len(args.or_default("pattern-len", 6.0)?)
         .seed(args.or_default("seed", 0)?);
@@ -111,7 +121,12 @@ fn min_support(args: &Args) -> Result<MinSupport, ArgError> {
         (Some(_), Some(_)) => Err(ArgError(
             "give either --min-support or --min-count, not both".into(),
         )),
-        (Some(f), None) => Ok(MinSupport::Fraction(f)),
+        (Some(f), None) => Ok(MinSupport::Fraction(in_range(
+            "min-support",
+            f,
+            0.0..=1.0,
+            "a fraction in [0, 1]",
+        )?)),
         (None, Some(c)) => Ok(MinSupport::Count(c)),
         (None, None) => Err(ArgError("need --min-support FRAC or --min-count N".into())),
     }
@@ -226,7 +241,7 @@ fn parse_placement(args: &Args) -> Result<PlacementPolicy, ArgError> {
 
 fn cmd_parallel(args: &Args, out: Out) -> Result<(), Box<dyn std::error::Error>> {
     let input: String = args.required("input")?;
-    let procs: usize = args.required("procs")?;
+    let procs = in_range("procs", args.required("procs")?, 1usize.., "at least 1")?;
     let algorithm = parse_algorithm(args)?;
     let machine_arg: Option<String> = args.optional("machine")?;
     let cluster_path: Option<String> = args.optional("cluster")?;
@@ -549,6 +564,81 @@ mod tests {
         // min-count alone works.
         let o = run_ok(&["mine", "--input", &db, "--min-count", "5", "--max-k", "2"]);
         assert!(o.contains("min count 5"));
+    }
+
+    /// Runs `parts` through the binary's entry point, expecting exit code 2
+    /// and an error naming the offending value and the valid range.
+    fn assert_out_of_range(parts: &[&str], value: &str, valid: &str) {
+        assert_eq!(crate::run(&argv(parts), &mut Vec::new()), 2, "{parts:?}");
+        let err = run_err(parts);
+        assert!(!err.contains('\n'), "{err}");
+        assert!(err.contains(value) && err.contains(valid), "{err}");
+    }
+
+    fn small_db(name: &str) -> String {
+        let db = temp(name);
+        run_ok(&[
+            "gen",
+            "--out",
+            &db,
+            "--transactions",
+            "50",
+            "--items",
+            "20",
+            "--patterns",
+            "5",
+        ]);
+        db
+    }
+
+    #[test]
+    fn gen_rejects_zero_items() {
+        let db = temp("zero_items.txt");
+        assert_out_of_range(
+            &["gen", "--out", &db, "--transactions", "10", "--items", "0"],
+            "--items 0",
+            "at least 1",
+        );
+    }
+
+    #[test]
+    fn mine_rejects_support_above_one() {
+        let db = small_db("sup_high.txt");
+        assert_out_of_range(
+            &["mine", "--input", &db, "--min-support", "1.5"],
+            "--min-support 1.5",
+            "[0, 1]",
+        );
+    }
+
+    #[test]
+    fn mine_rejects_negative_support() {
+        let db = small_db("sup_neg.txt");
+        assert_out_of_range(
+            &["mine", "--input", &db, "--min-support", "-1"],
+            "--min-support -1",
+            "[0, 1]",
+        );
+    }
+
+    #[test]
+    fn parallel_rejects_zero_procs() {
+        let db = small_db("zero_procs.txt");
+        assert_out_of_range(
+            &[
+                "parallel",
+                "--input",
+                &db,
+                "--algorithm",
+                "cd",
+                "--procs",
+                "0",
+                "--min-support",
+                "0.1",
+            ],
+            "--procs 0",
+            "at least 1",
+        );
     }
 
     #[test]

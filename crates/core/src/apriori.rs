@@ -360,19 +360,21 @@ pub fn count_candidates(
     memory_capacity: Option<usize>,
 ) -> (Vec<(ItemSet, u64)>, PassInfo) {
     let total = candidates.len();
-    let chunk = memory_capacity.unwrap_or(usize::MAX).min(total.max(1));
+    let chunk = memory_capacity.unwrap_or(usize::MAX).max(1);
     let mut level = Vec::new();
     let mut stats = TreeStats::default();
     let mut scans = 0;
-    let mut idx = 0;
-    while idx < total {
-        let end = (idx + chunk).min(total);
-        let mut counter = backend.build(k, tree_params, candidates[idx..end].to_vec());
+    // Candidates move into each partition's counter; a single partition
+    // takes the whole vector without copying it.
+    let mut rest = candidates;
+    while !rest.is_empty() {
+        let tail = rest.split_off(chunk.min(rest.len()));
+        let part = std::mem::replace(&mut rest, tail);
+        let mut counter = backend.build(k, tree_params, part);
         counter.count_all(transactions, &OwnershipFilter::all());
         stats = stats.merged(&counter.stats());
         level.extend(counter.frequent(min_count));
         scans += 1;
-        idx = end;
     }
     let info = PassInfo {
         k,

@@ -107,14 +107,35 @@ pub fn read_transactions_file<P: AsRef<Path>>(path: P) -> Result<Dataset, ReadEr
 /// Writes a dataset in the text format (with explicit tids).
 pub fn write_transactions<W: Write>(writer: W, dataset: &Dataset) -> std::io::Result<()> {
     let mut buf = BufWriter::new(writer);
+    let mut line = Vec::new();
     for t in dataset.transactions() {
-        write!(buf, "{}:", t.tid())?;
+        line.clear();
+        push_decimal(&mut line, t.tid());
+        line.push(b':');
         for item in t.items() {
-            write!(buf, " {item}")?;
+            line.push(b' ');
+            push_decimal(&mut line, u64::from(item.id()));
         }
-        writeln!(buf)?;
+        line.push(b'\n');
+        buf.write_all(&line)?;
     }
     buf.flush()
+}
+
+/// Appends `n` in decimal ASCII — what `write!("{n}")` prints, without
+/// the formatting machinery per integer.
+fn push_decimal(out: &mut Vec<u8>, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[at..]);
 }
 
 /// Writes a dataset to a file path.
@@ -249,6 +270,32 @@ mod tests {
         assert_eq!(reread.len(), original.len());
         for (a, b) in reread.transactions().iter().zip(original.transactions()) {
             assert_eq!(a, b);
+        }
+    }
+
+    #[test]
+    fn text_output_is_pinned() {
+        let dataset = Dataset::new(vec![
+            Transaction::new(0, vec![Item(0), Item(9), Item(10)]),
+            Transaction::new(7, vec![]),
+            Transaction::new(u64::MAX, vec![Item(u32::MAX), Item(100), Item(99_999)]),
+            Transaction::new(1_000_000, vec![Item(42)]),
+        ]);
+        let mut bytes = Vec::new();
+        write_transactions(&mut bytes, &dataset).unwrap();
+        assert_eq!(
+            String::from_utf8(bytes).unwrap(),
+            "0: 0 9 10\n7:\n18446744073709551615: 100 99999 4294967295\n1000000: 42\n"
+        );
+    }
+
+    #[test]
+    fn push_decimal_matches_display() {
+        let mut out = Vec::new();
+        for n in (0..=10_000u64).chain([u64::from(u32::MAX), u64::MAX - 1, u64::MAX]) {
+            out.clear();
+            push_decimal(&mut out, n);
+            assert_eq!(out, n.to_string().as_bytes());
         }
     }
 

@@ -16,12 +16,47 @@
 //! `traversal_steps` and depth-`k` node arrivals to
 //! `distinct_leaf_visits` so the virtual-time model can charge either
 //! structure through one expression.
+//!
+//! # The k = 2 pair table
+//!
+//! Pass 2 holds the largest candidate set, and its root children carry
+//! child lists as long as the frequent-item count, so the lockstep walk
+//! spends most of pass 2 stepping over items the transaction lacks. At
+//! `k = 2` the trie therefore builds no nodes and counts through a pair
+//! table instead: each item in the held candidates gets a dense rank
+//! (ascending with the item id), and a triangular `Vec<u32>` maps every
+//! rank pair `(a, b)`, `a < b`, to its candidate index or to a sentinel.
+//! Only ranks that start a candidate get a row. Counting a transaction
+//! looks up each pair of its ranked items in O(1).
+//!
+//! The table is built only while both the slot array and the item-to-rank
+//! map stay within `PAIR_TABLE_ENTRIES_PER_CANDIDATE` (4) entries per held
+//! candidate. Serial and CD hold all of C₂, whose table is about `|C₂|`
+//! slots; a partitioned set whose items span far more pairs than it holds
+//! keeps the walk, as does every `k ≠ 2`.
+//!
+//! The work ledger does not move: the table charges exactly what the walk
+//! would. A transaction item that starts a candidate, is not the
+//! transaction's last item and passes `allows_root` is one `root_starts`
+//! and one `traversal_steps`; each contained candidate pair that passes
+//! `allows_second` is one `traversal_steps`, one `distinct_leaf_visits`
+//! and one `candidate_checks`. The filter is consulted only on those hits,
+//! as in the walk, so the virtual-time charges and partitioned counting
+//! are identical on either path.
 
 use crate::counter::CounterStats;
 use crate::hashtree::OwnershipFilter;
 use crate::item::Item;
 use crate::itemset::ItemSet;
 use crate::transaction::Transaction;
+
+/// The most entries a k = 2 pair table may spend per held candidate, in
+/// its slot array and in its item-to-rank map each. Past this the trie
+/// keeps the walk.
+const PAIR_TABLE_ENTRIES_PER_CANDIDATE: usize = 4;
+
+/// Sentinel for "no rank", "no row" and "no candidate" in the pair table.
+const NONE: u32 = u32::MAX;
 
 /// Arena-allocated trie node: sorted child list + optional candidate slot.
 #[derive(Debug, Default, Clone)]
@@ -30,6 +65,15 @@ struct TrieNode {
     children: Vec<(Item, u32)>,
     /// Index into the candidate arena when a candidate *ends* here.
     candidate: Option<u32>,
+}
+
+/// How the trie finds the candidates a transaction contains.
+#[derive(Debug, Clone)]
+enum Index {
+    /// Prefix-trie nodes, counted by the lockstep walk.
+    Walk(Vec<TrieNode>),
+    /// The k = 2 pair table.
+    Pairs(PairTable),
 }
 
 /// A counting trie for candidates of a fixed size `k`.
@@ -49,21 +93,40 @@ struct TrieNode {
 #[derive(Debug, Clone)]
 pub struct CandidateTrie {
     k: usize,
-    nodes: Vec<TrieNode>,
+    index: Index,
     candidates: Vec<(ItemSet, u64)>,
     stats: CounterStats,
 }
 
 impl CandidateTrie {
-    /// Builds a trie over size-`k` candidates.
+    /// Builds a trie over size-`k` candidates. At `k = 2` it counts
+    /// through the pair table when that fits its memory bound (see the
+    /// module docs), and by the lockstep walk otherwise.
     ///
     /// # Panics
     /// If any candidate's size differs from `k`, or `k == 0`.
     pub fn build(k: usize, candidates: Vec<ItemSet>) -> Self {
+        match PairTable::for_candidates(k, &candidates) {
+            Some(table) => Self::fill(k, Index::Pairs(table), candidates),
+            None => Self::build_walk(k, candidates),
+        }
+    }
+
+    /// Builds a trie that always counts by the lockstep walk, even where
+    /// [`build`](Self::build) would use the pair table: the reference the
+    /// table is checked against.
+    ///
+    /// # Panics
+    /// If any candidate's size differs from `k`, or `k == 0`.
+    pub fn build_walk(k: usize, candidates: Vec<ItemSet>) -> Self {
+        Self::fill(k, Index::Walk(vec![TrieNode::default()]), candidates)
+    }
+
+    fn fill(k: usize, index: Index, candidates: Vec<ItemSet>) -> Self {
         assert!(k >= 1, "candidate size must be at least 1");
         let mut trie = CandidateTrie {
             k,
-            nodes: vec![TrieNode::default()],
+            index,
             candidates: Vec::with_capacity(candidates.len()),
             stats: CounterStats::default(),
         };
@@ -76,24 +139,21 @@ impl CandidateTrie {
 
     fn insert(&mut self, set: ItemSet) {
         self.stats.inserts += 1;
-        let mut node = 0u32;
-        for &item in set.items() {
-            let pos = self.nodes[node as usize]
-                .children
-                .binary_search_by_key(&item, |&(i, _)| i);
-            node = match pos {
-                Ok(p) => self.nodes[node as usize].children[p].1,
-                Err(p) => {
-                    let fresh = self.nodes.len() as u32;
-                    self.nodes.push(TrieNode::default());
-                    self.nodes[node as usize].children.insert(p, (item, fresh));
-                    fresh
+        let next = self.candidates.len() as u32;
+        let slot = match &mut self.index {
+            Index::Walk(nodes) => {
+                let leaf = insert_path(nodes, &set);
+                nodes[leaf].candidate.get_or_insert(next)
+            }
+            Index::Pairs(table) => {
+                let slot = table.slot_mut(&set);
+                if *slot == NONE {
+                    *slot = next;
                 }
-            };
-        }
-        let slot = &mut self.nodes[node as usize].candidate;
-        if slot.is_none() {
-            *slot = Some(self.candidates.len() as u32);
+                slot
+            }
+        };
+        if *slot == next {
             self.candidates.push((set, 0));
         }
     }
@@ -108,15 +168,25 @@ impl CandidateTrie {
         self.candidates.len()
     }
 
-    /// Number of trie nodes (diagnostics).
+    /// Number of trie nodes (diagnostics); zero when the pair table
+    /// counts.
     pub fn num_nodes(&self) -> usize {
-        self.nodes.len()
+        match &self.index {
+            Index::Walk(nodes) => nodes.len(),
+            Index::Pairs(_) => 0,
+        }
+    }
+
+    /// Whether this trie counts through the k = 2 pair table.
+    pub fn uses_pair_table(&self) -> bool {
+        matches!(self.index, Index::Pairs(_))
     }
 
     /// Counts the candidates contained in one transaction: a lockstep walk
     /// of the trie and the sorted item list — each contained candidate is
-    /// visited exactly once. The filter prunes first items at the root and
-    /// (first, second) pairs at depth 1, exactly like the hash tree's
+    /// visited exactly once — or, at `k = 2`, pair-table lookups that
+    /// charge the same ledger. The filter prunes first items at the root
+    /// and (first, second) pairs at depth 1, exactly like the hash tree's
     /// `subset`.
     pub fn count(&mut self, t: &Transaction, filter: &OwnershipFilter) {
         if self.candidates.is_empty() {
@@ -127,15 +197,21 @@ impl CandidateTrie {
         if items.len() < self.k {
             return;
         }
-        let mut walker = Walker {
-            nodes: &self.nodes,
-            counts: &mut self.candidates,
-            stats: &mut self.stats,
-            filter,
-        };
-        walker.walk(0, items, self.k, 0, Item(0));
+        match &mut self.index {
+            Index::Walk(nodes) => {
+                let mut walker = Walker {
+                    nodes: nodes.as_slice(),
+                    counts: &mut self.candidates,
+                    stats: &mut self.stats,
+                    filter,
+                };
+                walker.walk(0, items, self.k, 0, Item(0));
+            }
+            Index::Pairs(table) => {
+                table.count(items, &mut self.candidates, &mut self.stats, filter)
+            }
+        }
     }
-
     /// Counts a whole batch under one filter.
     pub fn count_all(&mut self, transactions: &[Transaction], filter: &OwnershipFilter) {
         for t in transactions {
@@ -200,6 +276,139 @@ impl CandidateTrie {
     /// identical candidate list.
     pub fn wire_size(&self) -> usize {
         self.candidates.len() * (4 * self.k + 8)
+    }
+}
+
+/// Descends `set`'s path from the root, creating missing nodes, and
+/// returns the index of its last node.
+fn insert_path(nodes: &mut Vec<TrieNode>, set: &ItemSet) -> usize {
+    let mut node = 0usize;
+    for &item in set.items() {
+        let pos = nodes[node]
+            .children
+            .binary_search_by_key(&item, |&(i, _)| i);
+        node = match pos {
+            Ok(p) => nodes[node].children[p].1 as usize,
+            Err(p) => {
+                let fresh = nodes.len();
+                nodes.push(TrieNode::default());
+                nodes[node].children.insert(p, (item, fresh as u32));
+                fresh
+            }
+        };
+    }
+    node
+}
+
+/// The k = 2 pair table (see the module docs).
+#[derive(Debug, Clone)]
+struct PairTable {
+    /// Dense rank of each item id that occurs in a candidate, else `NONE`.
+    rank: Vec<u32>,
+    /// Per rank: the start of its row in `slots`, or `NONE` if no
+    /// candidate starts with that rank.
+    row: Vec<u32>,
+    /// Row `a` holds one slot per rank `b > a`, at offset `b - a - 1`: the
+    /// index of candidate `(a, b)`, or `NONE`.
+    slots: Vec<u32>,
+    /// Per-transaction scratch: `(rank, item)` of its ranked items.
+    ranked: Vec<(u32, Item)>,
+}
+
+impl PairTable {
+    /// Sizes an empty table for `candidates`, or returns `None` when
+    /// `k != 2`, a candidate is not a pair (the walk's build reports it),
+    /// there are no candidates, or the table would break the memory bound.
+    /// Slots are filled by [`slot_mut`](Self::slot_mut).
+    fn for_candidates(k: usize, candidates: &[ItemSet]) -> Option<PairTable> {
+        if k != 2 || candidates.iter().any(|set| set.len() != 2) {
+            return None;
+        }
+        let budget = PAIR_TABLE_ENTRIES_PER_CANDIDATE * candidates.len();
+        let max_item = candidates.iter().flat_map(ItemSet::items).max()?;
+        let span = max_item.id() as usize + 1;
+        if span > budget {
+            return None;
+        }
+        let mut rank = vec![NONE; span];
+        for &item in candidates.iter().flat_map(ItemSet::items) {
+            rank[item.id() as usize] = 0;
+        }
+        let mut n = 0u32;
+        for r in rank.iter_mut().filter(|r| **r != NONE) {
+            *r = n;
+            n += 1;
+        }
+        let mut row = vec![NONE; n as usize];
+        for set in candidates {
+            row[rank[set.items()[0].id() as usize] as usize] = 0;
+        }
+        let mut len = 0usize;
+        for (a, start) in row.iter_mut().enumerate() {
+            if *start != NONE {
+                *start = len as u32;
+                len += n as usize - a - 1;
+            }
+        }
+        if len > budget {
+            return None;
+        }
+        Some(PairTable {
+            rank,
+            row,
+            slots: vec![NONE; len],
+            ranked: Vec::new(),
+        })
+    }
+
+    /// The slot of candidate pair `set`, which must have been sized in.
+    fn slot_mut(&mut self, set: &ItemSet) -> &mut u32 {
+        let items = set.items();
+        let a = self.rank[items[0].id() as usize];
+        let b = self.rank[items[1].id() as usize];
+        let start = self.row[a as usize] as usize;
+        &mut self.slots[start + (b - a - 1) as usize]
+    }
+
+    /// Counts the candidate pairs in one transaction of at least two
+    /// items, charging `stats` exactly as the lockstep walk would.
+    fn count(
+        &mut self,
+        items: &[Item],
+        counts: &mut [(ItemSet, u64)],
+        stats: &mut CounterStats,
+        filter: &OwnershipFilter,
+    ) {
+        let rank = &self.rank;
+        self.ranked.clear();
+        self.ranked.extend(items.iter().filter_map(|&item| {
+            let r = *rank.get(item.id() as usize)?;
+            (r != NONE).then_some((r, item))
+        }));
+        let ranked = &self.ranked;
+        // The walk never starts a candidate at the transaction's last item.
+        let roots =
+            ranked.len() - usize::from(ranked.last().map(|&(_, i)| i) == items.last().copied());
+        let mut hits = 0u64;
+        for (at, &(a, first)) in ranked[..roots].iter().enumerate() {
+            let start = self.row[a as usize];
+            if start == NONE || !filter.allows_root(first) {
+                continue;
+            }
+            stats.root_starts += 1;
+            stats.traversal_steps += 1;
+            let row = &self.slots[start as usize..];
+            for &(b, second) in &ranked[at + 1..] {
+                let c = row[(b - a - 1) as usize];
+                if c != NONE && filter.allows_second(first, second) {
+                    hits += 1;
+                    counts[c as usize].1 += 1;
+                }
+            }
+        }
+        stats.traversal_steps += hits;
+        stats.distinct_leaf_visits += hits;
+        stats.candidate_checks += hits;
     }
 }
 
@@ -430,6 +639,15 @@ mod tests {
     }
 
     #[test]
+    fn pair_table_respects_memory_bound() {
+        // Two candidates spanning 100 item ids: the rank map alone would
+        // exceed four entries per candidate, so the walk counts.
+        let trie = CandidateTrie::build(2, vec![set(&[0, 50]), set(&[1, 99])]);
+        assert!(!trie.uses_pair_table());
+        assert!(!CandidateTrie::build(3, vec![set(&[0, 1, 2])]).uses_pair_table());
+    }
+
+    #[test]
     fn node_sharing_compresses_prefixes() {
         // {1,2,3} and {1,2,4} share the 1→2 path: 1 root + 2 shared + 2
         // leaves = 5 nodes.
@@ -441,5 +659,11 @@ mod tests {
     #[should_panic(expected = "wrong size")]
     fn arity_checked() {
         CandidateTrie::build(3, vec![set(&[1, 2])]);
+    }
+
+    #[test]
+    #[should_panic(expected = "wrong size")]
+    fn pair_arity_checked() {
+        CandidateTrie::build(2, vec![set(&[1, 2]), set(&[3])]);
     }
 }

@@ -5,14 +5,17 @@
 //! formulation on both the simulated and the native execution backend.
 
 use armine::core::binpack::partition_by_first_item;
+use armine::core::bitmap::ItemBitmap;
 use armine::core::counter::CounterBackend;
 use armine::core::hashtree::{HashTreeParams, OwnershipFilter};
 use armine::core::rules::generate_rules;
+use armine::core::trie::CandidateTrie;
 use armine::core::{Item, ItemSet, Transaction};
 use armine::datagen::QuestParams;
 use armine::mpsim::ExecBackend;
 use armine::parallel::{Algorithm, ParallelMiner, ParallelParams};
 use proptest::prelude::*;
+use std::collections::HashSet;
 
 /// Strategy: a transaction as a set of item ids below `universe`.
 fn arb_transaction(universe: u32, max_len: usize) -> impl Strategy<Value = Vec<u32>> {
@@ -134,6 +137,110 @@ proptest! {
         for (backend, union) in CounterBackend::ALL.iter().zip(&unions).skip(1) {
             prop_assert_eq!(&unions[0], union, "union diverges on {}", backend.name());
         }
+    }
+}
+
+/// The ownership filter a pair-table case counts under: `all` (mode 0),
+/// `first_item` (mode 1) or `two_level` (mode 2). A pair code `x` owns
+/// `(x / 12, x % 12)`.
+fn filter_for(mode: u8, owned: &[u32], pair_codes: &[u32]) -> OwnershipFilter {
+    let owned = ItemBitmap::from_items(16, owned.iter().map(|&i| Item(i)));
+    match mode {
+        0 => OwnershipFilter::all(),
+        1 => OwnershipFilter::first_item(owned),
+        _ => OwnershipFilter::two_level(
+            owned,
+            pair_codes
+                .iter()
+                .map(|&x| (Item(x / 12), Item(x % 12)))
+                .collect::<HashSet<_>>(),
+        ),
+    }
+}
+
+/// Counts `txs` on the trie as [`CandidateTrie::build`] picks it and on
+/// the forced lockstep walk, and checks that both give the same counts,
+/// the same full ledger, and the brute-force counts. Returns whether the
+/// pair table counted.
+fn table_matches_walk(cands: &[ItemSet], txs: &[Transaction], filter: &OwnershipFilter) -> bool {
+    // A duplicate candidate still costs one insert on either path.
+    let mut input = cands.to_vec();
+    input.extend(cands.first().cloned());
+    let mut auto = CandidateTrie::build(2, input.clone());
+    let mut walk = CandidateTrie::build_walk(2, input);
+    assert!(!walk.uses_pair_table());
+    auto.count_all(txs, filter);
+    walk.count_all(txs, filter);
+    assert_eq!(auto.count_vector(), walk.count_vector());
+    assert_eq!(auto.stats(), walk.stats());
+    assert_eq!(auto.count_vector(), brute_force(cands, txs, filter));
+    if auto.uses_pair_table() {
+        assert_eq!(auto.num_nodes(), 0);
+    }
+    auto.uses_pair_table()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The trie's k = 2 pair table counts exactly what the lockstep walk
+    /// counts and charges the identical `CounterStats`, under all three
+    /// filter modes. Candidates are pairs over items below 12: the chain
+    /// `held[i], held[i + 1]` and the pairs of `held[0]` always, the rest
+    /// at random, which keeps the table within its memory bound.
+    /// Transactions reach up to 16, so they carry items outside the
+    /// table, and fixed cases add an empty transaction, a one-item
+    /// transaction, and one whose last item starts a candidate.
+    #[test]
+    fn trie_pair_table_matches_walk(
+        held in prop::collection::btree_set(0u32..12, 4..=12),
+        keep in prop::collection::vec(0u8..2, 66),
+        raw_txs in prop::collection::vec(arb_transaction(16, 10), 0..40),
+        mode in 0u8..3,
+        owned in prop::collection::vec(0u32..12, 0..12),
+        pair_codes in prop::collection::vec(0u32..144, 0..24),
+    ) {
+        let held: Vec<u32> = held.iter().copied().collect();
+        let mut raw_cands = Vec::new();
+        let mut coin = keep.iter();
+        for (i, &a) in held.iter().enumerate() {
+            for (j, &b) in held.iter().enumerate().skip(i + 1) {
+                if i == 0 || j == i + 1 || coin.next() == Some(&1) {
+                    raw_cands.push(vec![a, b]);
+                }
+            }
+        }
+        let cands = to_itemsets(&raw_cands);
+        let last_start = cands.iter().map(|c| c.items()[0].id()).max().unwrap();
+        let mut all_txs = raw_txs.clone();
+        all_txs.push(Vec::new());
+        all_txs.push(vec![held[0]]);
+        all_txs.push(held.iter().copied().filter(|&i| i <= last_start).collect());
+        let txs = to_transactions(&all_txs);
+        let filter = filter_for(mode, &owned, &pair_codes);
+        prop_assert!(table_matches_walk(&cands, &txs, &filter), "pair table not used");
+    }
+
+    /// A sparse candidate set partitioned by first item (IDD's packing)
+    /// spans far more pairs than each part holds, so parts break the
+    /// table's memory bound and fall back to the walk — with the same
+    /// counts and ledger as the forced walk, and the brute-force counts.
+    #[test]
+    fn trie_pair_table_fallback_matches_walk(
+        raw_cands in prop::collection::vec(arb_candidate(200, 2), 100..300),
+        raw_txs in prop::collection::vec(arb_transaction(200, 40), 0..30),
+        procs in 2usize..5,
+    ) {
+        let cands = to_itemsets(&raw_cands);
+        let txs = to_transactions(&raw_txs);
+        let part = partition_by_first_item(&cands, 200, &vec![1.0; procs]);
+        let fallbacks = part
+            .parts
+            .iter()
+            .zip(&part.filters)
+            .filter(|(mine, filter)| !table_matches_walk(mine, &txs, filter))
+            .count();
+        prop_assert!(fallbacks > 0, "no part fell back to the walk");
     }
 }
 
