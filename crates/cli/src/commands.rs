@@ -136,7 +136,10 @@ fn cmd_mine(args: &Args, out: Out) -> Result<(), Box<dyn std::error::Error>> {
     let input: String = args.required("input")?;
     let support = min_support(args)?;
     let max_k: Option<usize> = args.optional("max-k")?;
-    let rules_conf: Option<f64> = args.optional("rules")?;
+    let rules_conf: Option<f64> = args
+        .optional("rules")?
+        .map(|conf| in_range("rules", conf, 0.0..=1.0, "a fraction in [0, 1]"))
+        .transpose()?;
     let top: usize = args.or_default("top", 20)?;
     let counter = parse_counter(args)?;
     args.finish()?;
@@ -619,6 +622,40 @@ mod tests {
             "--min-support -1",
             "[0, 1]",
         );
+    }
+
+    /// `--rules` is range-checked before the input is read: the input
+    /// file here does not exist, yet the error names the confidence.
+    fn assert_rules_out_of_range(conf: &str) {
+        let db = temp("rules_never_read.txt");
+        assert_out_of_range(
+            &[
+                "mine",
+                "--input",
+                &db,
+                "--min-support",
+                "0.1",
+                "--rules",
+                conf,
+            ],
+            &format!("--rules {conf}"),
+            "[0, 1]",
+        );
+    }
+
+    #[test]
+    fn mine_rejects_rules_confidence_above_one() {
+        assert_rules_out_of_range("1.5");
+    }
+
+    #[test]
+    fn mine_rejects_negative_rules_confidence() {
+        assert_rules_out_of_range("-0.1");
+    }
+
+    #[test]
+    fn mine_rejects_nan_rules_confidence() {
+        assert_rules_out_of_range("NaN");
     }
 
     #[test]

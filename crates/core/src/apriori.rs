@@ -16,7 +16,9 @@ use crate::hashtree::{HashTreeParams, OwnershipFilter, TreeStats};
 use crate::item::Item;
 use crate::itemset::ItemSet;
 use crate::transaction::Transaction;
+use std::borrow::Borrow;
 use std::collections::{HashMap, HashSet};
+use std::hash::Hash;
 
 /// Minimum support, either as an absolute transaction count or as a
 /// fraction of the database size (the paper quotes percentages: 0.1%,
@@ -161,7 +163,12 @@ impl FrequentItemsets {
     }
 
     /// The support count of a frequent itemset, `None` if not frequent.
-    pub fn support(&self, set: &ItemSet) -> Option<u64> {
+    /// Takes an `&ItemSet` or, through `Borrow`, a sorted `&[Item]`.
+    pub fn support<Q>(&self, set: &Q) -> Option<u64>
+    where
+        ItemSet: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
         self.by_set.get(set).copied()
     }
 
@@ -406,7 +413,9 @@ pub fn apriori_gen(prev: &[ItemSet]) -> Vec<ItemSet> {
     }
     let k_minus_1 = prev[0].len();
     debug_assert!(prev.iter().all(|s| s.len() == k_minus_1));
-    let prev_set: HashSet<&ItemSet> = prev.iter().collect();
+    let prev_set: HashSet<&[Item]> = prev.iter().map(ItemSet::items).collect();
+    // One buffer for every (k-1)-subset probed.
+    let mut subset: Vec<Item> = Vec::with_capacity(k_minus_1);
     let mut out = Vec::new();
     let mut i = 0;
     while i < prev.len() {
@@ -417,16 +426,22 @@ pub fn apriori_gen(prev: &[ItemSet]) -> Vec<ItemSet> {
             block_end += 1;
         }
         for a in i..block_end {
+            let head = prev[a].items();
             for b in a + 1..block_end {
-                let candidate = prev[a].extend_with(prev[b].items()[k_minus_1 - 1]);
-                // Prune: every (k-1)-subset must be frequent. (Two of them
-                // are prev[a] and prev[b] themselves; checking all is
-                // simpler and still O(k) hash probes.)
-                let ok = candidate
-                    .subsets_dropping_one()
-                    .all(|s| prev_set.contains(&s));
+                let joined = prev[b].items()[k_minus_1 - 1];
+                // Prune: every (k-1)-subset of `head + joined` must be
+                // frequent. Dropping `joined` or the last item of `head`
+                // gives prev[a] or prev[b], so only the subsets that drop
+                // a prefix item need a probe.
+                let ok = (0..k_minus_1 - 1).all(|drop| {
+                    subset.clear();
+                    subset.extend_from_slice(&head[..drop]);
+                    subset.extend_from_slice(&head[drop + 1..]);
+                    subset.push(joined);
+                    prev_set.contains(subset.as_slice())
+                });
                 if ok {
-                    out.push(candidate);
+                    out.push(prev[a].extend_with(joined));
                 }
             }
         }

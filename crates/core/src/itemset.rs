@@ -1,6 +1,7 @@
 //! Sorted itemsets: the `C` and `F_k` elements of the Apriori algorithm.
 
 use crate::item::Item;
+use std::borrow::Borrow;
 use std::fmt;
 
 /// An immutable set of items, stored sorted in ascending id order.
@@ -206,6 +207,16 @@ impl<const N: usize> From<[u32; N]> for ItemSet {
     }
 }
 
+/// Lets a map keyed by `ItemSet` be probed with a plain item slice, such
+/// as a reused buffer, without building an `ItemSet`. `Hash`, `Eq` and
+/// `Ord` are derived from the one boxed-slice field, so they agree with
+/// those of `[Item]`, as `Borrow` requires.
+impl Borrow<[Item]> for ItemSet {
+    fn borrow(&self) -> &[Item] {
+        &self.items
+    }
+}
+
 impl fmt::Debug for ItemSet {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{{")?;
@@ -327,6 +338,13 @@ mod tests {
         let mut v = vec![set(&[1, 3]), set(&[1, 2]), set(&[0, 9])];
         v.sort();
         assert_eq!(v, vec![set(&[0, 9]), set(&[1, 2]), set(&[1, 3])]);
+    }
+
+    #[test]
+    fn maps_keyed_by_itemset_are_probed_by_slice() {
+        let map: std::collections::HashMap<ItemSet, u64> = [(set(&[1, 4]), 7)].into();
+        assert_eq!(map.get([Item(1), Item(4)].as_slice()), Some(&7));
+        assert_eq!(map.get([Item(4), Item(1)].as_slice()), None);
     }
 
     #[test]

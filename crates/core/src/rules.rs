@@ -6,8 +6,18 @@
 //! Srikant: for each frequent itemset `f`, grow confident consequents
 //! level-wise, pruning with the fact that if `f\Y ⟹ Y` fails the confidence
 //! bar, so does `f\Y' ⟹ Y'` for every `Y' ⊇ Y`.
+//!
+//! Consequents are grown as position sets over `f`: `u64` masks, not
+//! itemsets. A frequent k-itemset puts all 2^k − 1 of its subsets in the
+//! lattice, so every mask names a frequent set, and k never nears 64. The
+//! masks of a level are joined and pruned in the same lexicographic order
+//! as `apriori_gen` would join itemsets, and an antecedent's support is
+//! probed with an item slice on the stack. Evaluating a consequent
+//! allocates nothing; the two `ItemSet`s are built only for a rule that is
+//! emitted.
 
-use crate::apriori::{apriori_gen, FrequentItemsets};
+use crate::apriori::FrequentItemsets;
+use crate::item::Item;
 use crate::itemset::ItemSet;
 
 /// An association rule `X ⟹ Y` with its measures.
@@ -89,11 +99,10 @@ pub fn generate_rules(frequent: &FrequentItemsets, min_confidence: f64) -> Vec<R
         (0.0..=1.0).contains(&min_confidence),
         "confidence must be a fraction, got {min_confidence}"
     );
-    let n = frequent.num_transactions().max(1) as f64;
     let mut rules = Vec::new();
     for size in 2..=frequent.max_len() {
         for (itemset, count) in frequent.level(size) {
-            grow_rules(frequent, itemset, *count, min_confidence, n, &mut rules);
+            grow_rules(frequent, itemset, *count, min_confidence, &mut rules);
         }
     }
     rules
@@ -121,7 +130,6 @@ pub fn rules_for_itemset_counted(
     itemset: &ItemSet,
     min_confidence: f64,
 ) -> (Vec<Rule>, u64) {
-    let n = frequent.num_transactions().max(1) as f64;
     let count = match frequent.support(itemset) {
         Some(c) => c,
         None => return (Vec::new(), 0),
@@ -129,80 +137,133 @@ pub fn rules_for_itemset_counted(
     let mut out = Vec::new();
     let mut evaluated = 0;
     if itemset.len() >= 2 {
-        evaluated = grow_rules(frequent, itemset, count, min_confidence, n, &mut out);
+        evaluated = grow_rules(frequent, itemset, count, min_confidence, &mut out);
     }
     (out, evaluated)
 }
 
+/// The most items an itemset may have for its consequents to fit a `u64`
+/// position mask.
+const MAX_ITEMS: usize = u64::BITS as usize;
+
+/// The mask bit of position `pos` in a `k`-itemset. Position 0 (the
+/// smallest item) takes the highest bit, so among masks of one size,
+/// lexicographic order of the consequents is descending numeric order.
+#[inline]
+fn bit(k: usize, pos: usize) -> u64 {
+    1 << (k - 1 - pos)
+}
+
+/// The single bits of `mask`, lowest first.
+fn bits(mut mask: u64) -> impl Iterator<Item = u64> {
+    std::iter::from_fn(move || {
+        let low = mask & mask.wrapping_neg();
+        mask ^= low;
+        (low != 0).then_some(low)
+    })
+}
+
+/// Copies the items of `items` whose positions are in `mask` into `buf`,
+/// in order, and returns them.
+fn select<'b>(items: &[Item], mask: u64, buf: &'b mut [Item; MAX_ITEMS]) -> &'b [Item] {
+    let k = items.len();
+    let mut len = 0;
+    for (pos, &item) in items.iter().enumerate() {
+        if mask & bit(k, pos) != 0 {
+            buf[len] = item;
+            len += 1;
+        }
+    }
+    &buf[..len]
+}
+
 /// Level-wise consequent growth for one frequent itemset. Returns the
-/// number of consequents confidence-evaluated ([`try_rule`] calls).
+/// number of consequents confidence-evaluated.
 fn grow_rules(
     frequent: &FrequentItemsets,
     itemset: &ItemSet,
     count: u64,
     min_confidence: f64,
-    n: f64,
     out: &mut Vec<Rule>,
 ) -> u64 {
+    let items = itemset.items();
+    let k = items.len();
+    assert!(
+        k <= MAX_ITEMS,
+        "a frequent {k}-itemset would put 2^{k} subsets in the lattice"
+    );
+    let full = u64::MAX >> (MAX_ITEMS - k);
+    let n = frequent.num_transactions().max(1) as f64;
+    let mut buf = [Item(0); MAX_ITEMS];
     let mut evaluated = 0u64;
-    // Level 1: single-item consequents.
-    let mut consequents: Vec<ItemSet> = Vec::new();
-    for item in itemset {
-        let consequent = ItemSet::singleton(item);
+    // Emits `itemset\consequent ⟹ consequent` if it clears the bar.
+    let mut evaluate = |consequent: u64| -> bool {
         evaluated += 1;
-        if let Some(rule) = try_rule(frequent, itemset, &consequent, count, min_confidence, n) {
-            out.push(rule);
-            consequents.push(consequent);
+        let antecedent = select(items, full ^ consequent, &mut buf);
+        // The antecedent is a subset of a frequent set, hence frequent itself.
+        let antecedent_count = frequent
+            .support(antecedent)
+            .expect("antecedent of a frequent itemset must be frequent");
+        let confidence = count as f64 / antecedent_count as f64;
+        if confidence >= min_confidence {
+            let antecedent = ItemSet::from_sorted(antecedent.to_vec());
+            let consequent = ItemSet::from_sorted(select(items, consequent, &mut buf).to_vec());
+            let consequent_count = frequent
+                .support(&consequent)
+                .expect("consequent of a frequent itemset must be frequent");
+            out.push(Rule {
+                antecedent,
+                consequent,
+                support_count: count,
+                support: count as f64 / n,
+                confidence,
+                antecedent_support: antecedent_count as f64 / n,
+                consequent_support: consequent_count as f64 / n,
+            });
+            true
+        } else {
+            false
         }
-    }
+    };
+    // Level 1: single-item consequents, in item order. Each level holds
+    // its surviving consequents in lexicographic order.
+    let mut current: Vec<u64> = (0..k)
+        .map(|pos| bit(k, pos))
+        .filter(|&c| evaluate(c))
+        .collect();
+    let mut next = Vec::new();
     // Levels 2..: join surviving consequents, Apriori-style. A consequent
     // can have at most |itemset| - 1 items (the antecedent is non-empty).
-    while !consequents.is_empty() && consequents[0].len() + 1 < itemset.len() {
-        consequents.sort();
-        consequents.dedup();
-        let next = apriori_gen(&consequents);
-        consequents = next
-            .into_iter()
-            .filter_map(|consequent| {
-                evaluated += 1;
-                let rule = try_rule(frequent, itemset, &consequent, count, min_confidence, n)?;
-                out.push(rule);
-                Some(consequent)
-            })
-            .collect();
+    while !current.is_empty() && current[0].count_ones() as usize + 1 < k {
+        next.clear();
+        let mut i = 0;
+        while i < current.len() {
+            // The block [i, end) shares all but its last (lowest) position.
+            let prefix = current[i] & (current[i] - 1);
+            let mut end = i + 1;
+            while end < current.len() && current[end] & (current[end] - 1) == prefix {
+                end += 1;
+            }
+            for a in i..end {
+                for b in a + 1..end {
+                    let candidate = current[a] | current[b];
+                    // Prune: every subset one position smaller must have
+                    // survived. Dropping either of the two lowest positions
+                    // gives current[a] or current[b].
+                    let ok = bits(prefix).all(|drop| {
+                        let subset = candidate ^ drop;
+                        current.binary_search_by(|c| subset.cmp(c)).is_ok()
+                    });
+                    if ok && evaluate(candidate) {
+                        next.push(candidate);
+                    }
+                }
+            }
+            i = end;
+        }
+        std::mem::swap(&mut current, &mut next);
     }
     evaluated
-}
-
-/// Builds the rule `itemset\consequent ⟹ consequent` if it clears the
-/// confidence bar.
-fn try_rule(
-    frequent: &FrequentItemsets,
-    itemset: &ItemSet,
-    consequent: &ItemSet,
-    count: u64,
-    min_confidence: f64,
-    n: f64,
-) -> Option<Rule> {
-    let antecedent = itemset.difference(consequent);
-    debug_assert!(!antecedent.is_empty());
-    // The antecedent is a subset of a frequent set, hence frequent itself.
-    let antecedent_count = frequent
-        .support(&antecedent)
-        .expect("antecedent of a frequent itemset must be frequent");
-    let consequent_count = frequent
-        .support(consequent)
-        .expect("consequent of a frequent itemset must be frequent");
-    let confidence = count as f64 / antecedent_count as f64;
-    (confidence >= min_confidence).then(|| Rule {
-        antecedent,
-        consequent: consequent.clone(),
-        support_count: count,
-        support: count as f64 / n,
-        confidence,
-        antecedent_support: antecedent_count as f64 / n,
-        consequent_support: consequent_count as f64 / n,
-    })
 }
 
 #[cfg(test)]
@@ -210,7 +271,6 @@ mod tests {
     use super::*;
     use crate::apriori::{Apriori, AprioriParams};
     use crate::dataset::Dataset;
-    use crate::item::Item;
     use crate::transaction::Transaction;
 
     fn table1() -> Dataset {
